@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.cost import CostModel
@@ -103,6 +104,62 @@ class ProblemSpec:
         )
 
 
+class ArrivalCounts:
+    """One round's arrivals as per-color job counts.
+
+    In a batched instance the jobs of one (round, color) pair share
+    arrival, deadline and delay bound, so their number describes them
+    completely.  Iterating yields ``(color, count)`` pairs with positive
+    counts (a color listed twice is merged, zero counts are dropped);
+    ``len()`` is the number of *jobs*, so a batch sizes like the job list
+    it stands for.  ``get(color, 0)`` looks one color up, dict-style.
+    Treat instances as immutable.
+    """
+
+    __slots__ = ("_counts", "_jobs", "get")
+
+    def __init__(self, pairs: Iterable[tuple[int, int]] = ()) -> None:
+        counts: dict[int, int] = {}
+        for color, count in pairs:
+            if count < 0:
+                raise ValueError(
+                    f"color {color} has a negative arrival count {count}"
+                )
+            if count:
+                counts[color] = counts.get(color, 0) + count
+        self._counts = counts
+        self._jobs = sum(counts.values())
+        # The engines look a color up once per boundary: bind the dict's
+        # own (C-level) lookup instead of wrapping it in a method.
+        self.get = counts.get
+
+    @classmethod
+    def _trusted(cls, counts: dict[int, int], jobs: int) -> "ArrivalCounts":
+        """Wrap an already-checked color -> positive count mapping."""
+        batch = cls.__new__(cls)
+        batch._counts = counts
+        batch._jobs = jobs
+        batch.get = counts.get
+        return batch
+
+    def __len__(self) -> int:
+        return self._jobs
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self._counts.items())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ArrivalCounts):
+            return self._counts == other._counts
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ArrivalCounts({sorted(self._counts.items())})"
+
+
+_NO_ARRIVALS = ArrivalCounts()
+
+
 class RequestSequence:
     """An ordered multiset of jobs, indexable by arrival round.
 
@@ -110,21 +167,42 @@ class RequestSequence:
     arriving in round *i*.  The horizon is the number of rounds the
     simulation must run; it always extends past the last deadline so that
     every job is either executed or dropped by the end of a run.
+
+    A sequence is built either from :class:`Job` objects or, for batched
+    workloads, from per-round arrival counts: ``counts`` maps a round to
+    its ``(color, count)`` pairs (or an :class:`ArrivalCounts`).  A
+    count-based sequence carries no job objects — :attr:`jobs`,
+    iteration, :meth:`arrivals` and the job-list copies
+    (:meth:`restricted_to`, :meth:`with_horizon`) raise
+    :class:`TypeError` — and needs an explicit horizon; its deadlines are
+    checked by :class:`Instance`, which knows the delay bounds.  Both
+    kinds answer :meth:`arrival_counts`, which is all the batched engines
+    read.
     """
 
     def __init__(
         self,
-        jobs: Iterable[Job],
+        jobs: Iterable[Job] = (),
         horizon: int | None = None,
         *,
         open_horizon: bool = False,
+        counts: Mapping[int, Iterable[tuple[int, int]]] | None = None,
     ) -> None:
-        self._jobs: tuple[Job, ...] = tuple(sorted(jobs))
-        ids = [job.jid for job in self._jobs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("job ids within a request sequence must be unique")
-        self._by_round: dict[int, list[Job]] = jobs_by_round(list(self._jobs))
         self._open_horizon = bool(open_horizon)
+        if counts is not None:
+            self._init_counts(jobs, horizon, counts)
+            return
+        # One sort: group in Job order, then read the sorted tuple back
+        # off the groups (rounds ascend in insertion order).
+        self._by_round: dict[int, list[Job]] | None = jobs_by_round(jobs)
+        self._jobs: tuple[Job, ...] | None = tuple(
+            chain.from_iterable(self._by_round.values())
+        )
+        ids = {job.jid for job in self._jobs}
+        if len(ids) != len(self._jobs):
+            raise ValueError("job ids within a request sequence must be unique")
+        self._counts: dict[int, ArrivalCounts] | None = None
+        self._size = len(self._jobs)
         last_deadline = max((job.deadline for job in self._jobs), default=0)
         # The drop phase of round `last_deadline` is the final event that can
         # touch a job, so the minimal safe horizon is last_deadline + 1.
@@ -141,14 +219,54 @@ class RequestSequence:
                 f"horizon {self._horizon} ends before the last deadline; "
                 f"need at least {min_horizon}"
             )
-        if any(job.arrival >= self._horizon for job in self._jobs):
+        if self._jobs and self._jobs[-1].arrival >= self._horizon:
             raise ValueError(
                 "jobs must arrive within the horizon (arrival < horizon)"
             )
 
+    def _init_counts(self, jobs, horizon, counts) -> None:
+        if jobs != ():
+            raise ValueError("pass jobs or counts, not both")
+        if horizon is None:
+            raise ValueError("a count-based sequence needs an explicit horizon")
+        if horizon < 1:
+            raise ValueError(f"horizon must be at least 1, got {horizon}")
+        by_round: dict[int, ArrivalCounts] = {}
+        for round_index in sorted(counts):
+            batch = counts[round_index]
+            if not isinstance(batch, ArrivalCounts):
+                batch = ArrivalCounts(batch)
+            if not batch:
+                continue
+            if not 0 <= round_index < horizon:
+                raise ValueError(
+                    "jobs must arrive within the horizon (0 <= arrival < "
+                    f"horizon); round {round_index} is outside [0, {horizon})"
+                )
+            by_round[round_index] = batch
+        self._jobs = None
+        self._by_round = None
+        self._counts = by_round
+        self._size = sum(len(batch) for batch in by_round.values())
+        self._horizon = horizon
+
+    @property
+    def is_count_based(self) -> bool:
+        """True when the sequence was built from arrival counts."""
+        return self._jobs is None
+
+    def _require_jobs(self) -> tuple[Job, ...]:
+        if self._jobs is None:
+            raise TypeError(
+                "this request sequence was built from arrival counts and "
+                "carries no Job objects; build it from jobs for "
+                "record='full' runs and job-level analyses"
+            )
+        return self._jobs
+
     @property
     def jobs(self) -> tuple[Job, ...]:
-        return self._jobs
+        return self._require_jobs()
 
     @property
     def horizon(self) -> int:
@@ -156,15 +274,21 @@ class RequestSequence:
         return self._horizon
 
     def __len__(self) -> int:
-        return len(self._jobs)
+        return self._size
 
     def __iter__(self) -> Iterator[Job]:
-        return iter(self._jobs)
+        return iter(self._require_jobs())
 
     @property
     def open_horizon(self) -> bool:
         """True for streaming segment views (deadlines may exceed horizon)."""
         return self._open_horizon
+
+    def _outside(self, round_index: int) -> IndexError:
+        return IndexError(
+            f"round {round_index} is outside the materialized horizon "
+            f"[0, {self._horizon}); the request sequence has no such round"
+        )
 
     def arrivals(self, round_index: int) -> Sequence[Job]:
         """Jobs arriving in ``round_index`` (the round's request).
@@ -179,39 +303,65 @@ class RequestSequence:
         this contract (:class:`repro.streaming.sources.InstanceSource`).
         """
         if round_index < 0 or round_index >= self._horizon:
-            raise IndexError(
-                f"round {round_index} is outside the materialized horizon "
-                f"[0, {self._horizon}); the request sequence has no such round"
-            )
+            raise self._outside(round_index)
+        if self._by_round is None:
+            self._require_jobs()
         return self._by_round.get(round_index, ())
+
+    def arrival_counts(self, round_index: int) -> ArrivalCounts:
+        """Per-color job counts arriving in ``round_index``.
+
+        Same horizon contract as :meth:`arrivals`; answered by job- and
+        count-based sequences alike.
+        """
+        if round_index < 0 or round_index >= self._horizon:
+            raise self._outside(round_index)
+        counts = self._counts
+        if counts is None:
+            counts = self.counts_by_round()
+        return counts.get(round_index, _NO_ARRIVALS)
+
+    def counts_by_round(self) -> Mapping[int, ArrivalCounts]:
+        """Every non-empty round's :class:`ArrivalCounts`, rounds ascending
+        (derived once from the jobs for job-based sequences)."""
+        if self._counts is None:
+            counts: dict[int, ArrivalCounts] = {}
+            for round_index, jobs in self._by_round.items():
+                per_color: dict[int, int] = {}
+                for job in jobs:
+                    per_color[job.color] = per_color.get(job.color, 0) + 1
+                counts[round_index] = ArrivalCounts._trusted(per_color, len(jobs))
+            self._counts = counts
+        return self._counts
 
     def arrival_rounds(self) -> tuple[int, ...]:
         """Rounds with at least one arrival, ascending."""
-        return tuple(sorted(self._by_round))
+        return tuple(self.counts_by_round())
 
     @property
     def colors(self) -> tuple[int, ...]:
         """Distinct job colors, ascending."""
-        return tuple(sorted({job.color for job in self._jobs}))
+        return tuple(sorted(self.count_by_color()))
 
     def count_by_color(self) -> dict[int, int]:
         counts: dict[int, int] = {}
-        for job in self._jobs:
-            counts[job.color] = counts.get(job.color, 0) + 1
+        for batch in self.counts_by_round().values():
+            for color, count in batch:
+                counts[color] = counts.get(color, 0) + count
         return counts
 
     def restricted_to(self, colors: Iterable[int]) -> "RequestSequence":
         """Subsequence containing only jobs of the given colors."""
         keep = set(colors)
         return RequestSequence(
-            [job for job in self._jobs if job.color in keep],
+            [job for job in self._require_jobs() if job.color in keep],
             self._horizon,
             open_horizon=self._open_horizon,
         )
 
     def with_horizon(self, horizon: int) -> "RequestSequence":
         return RequestSequence(
-            self._jobs, horizon, open_horizon=self._open_horizon
+            self._require_jobs(), horizon, open_horizon=self._open_horizon
         )
 
 
@@ -224,41 +374,62 @@ class Instance:
     name: str = ""
 
     def __post_init__(self) -> None:
-        declared = set(self.spec.delay_bounds)
-        for job in self.sequence:
-            if job.color not in declared:
+        bounds = self.spec.delay_bounds
+        if self.sequence.is_count_based:
+            if not self.spec.batch_mode.is_batched:
                 raise ValueError(
-                    f"job {job.jid} has undeclared color {job.color}"
+                    "count-based request sequences describe batched "
+                    "instances only; build general instances from jobs"
                 )
-            bound = self.spec.delay_bounds[job.color]
-            if job.delay_bound != bound:
-                raise ValueError(
-                    f"job {job.jid} of color {job.color} has delay bound "
-                    f"{job.delay_bound}, spec declares {bound}"
-                )
+        else:
+            for job in self.sequence:
+                bound = bounds.get(job.color)
+                if bound is None:
+                    raise ValueError(
+                        f"job {job.jid} has undeclared color {job.color}"
+                    )
+                if job.delay_bound != bound:
+                    raise ValueError(
+                        f"job {job.jid} of color {job.color} has delay bound "
+                        f"{job.delay_bound}, spec declares {bound}"
+                    )
         self._validate_batch_mode()
 
     def _validate_batch_mode(self) -> None:
+        """Check the batch discipline once per (round, color) batch."""
         mode = self.spec.batch_mode
         if mode is BatchMode.GENERAL:
             return
-        per_round_color: dict[tuple[int, int], int] = {}
-        for job in self.sequence:
-            if not is_multiple(job.arrival, job.delay_bound):
-                raise ValueError(
-                    f"batched instance: job {job.jid} of color {job.color} "
-                    f"arrives at round {job.arrival}, not a multiple of "
-                    f"{job.delay_bound}"
-                )
-            key = (job.arrival, job.color)
-            per_round_color[key] = per_round_color.get(key, 0) + 1
-        if mode is BatchMode.RATE_LIMITED:
-            for (arrival, color), count in per_round_color.items():
-                bound = self.spec.delay_bounds[color]
-                if count > bound:
+        bounds = self.spec.delay_bounds
+        sequence = self.sequence
+        rate_limited = mode is BatchMode.RATE_LIMITED
+        # Job-based sequences checked their deadlines on construction;
+        # count-based ones need the bounds, which only the spec knows.
+        horizon = sequence.horizon
+        check_deadline = sequence.is_count_based and not sequence.open_horizon
+        for arrival, batch in sequence.counts_by_round().items():
+            for color, count in batch:
+                bound = bounds.get(color)
+                if bound is None:
+                    raise ValueError(
+                        f"{count} job(s) arriving at round {arrival} have "
+                        f"undeclared color {color}"
+                    )
+                if not is_multiple(arrival, bound):
+                    raise ValueError(
+                        f"batched instance: {count} job(s) of color {color} "
+                        f"arrive at round {arrival}, not a multiple of {bound}"
+                    )
+                if rate_limited and count > bound:
                     raise ValueError(
                         f"rate-limited instance: {count} color-{color} jobs "
                         f"arrive at round {arrival}, exceeding D_ℓ = {bound}"
+                    )
+                if check_deadline and arrival + bound >= horizon:
+                    raise ValueError(
+                        f"horizon {horizon} ends before the deadline "
+                        f"{arrival + bound} of color {color}'s round-"
+                        f"{arrival} batch; need at least {arrival + bound + 1}"
                     )
 
     @property

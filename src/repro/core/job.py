@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Iterator
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 #: Sentinel color of a freshly provisioned (never reconfigured) resource.
 #: Jobs must never carry this color.
@@ -107,11 +108,21 @@ class JobFactory:
         return [self.make(arrival, color, delay_bound) for _ in range(n)]
 
 
-def jobs_by_round(jobs: list[Job]) -> dict[int, list[Job]]:
-    """Group jobs by arrival round, preserving deterministic order."""
+#: Sort key equal to :class:`Job`'s dataclass ordering, evaluated in C:
+#: sorting by it skips one Python-level ``__lt__`` call per comparison.
+JOB_ORDER = attrgetter("arrival", "color", "delay_bound", "jid")
+
+
+def jobs_by_round(jobs: Iterable[Job]) -> dict[int, list[Job]]:
+    """Group jobs by arrival round, in :class:`Job` order (rounds and the
+    jobs within each round ascending)."""
     grouped: dict[int, list[Job]] = {}
-    for job in sorted(jobs):
-        grouped.setdefault(job.arrival, []).append(job)
+    for job in sorted(jobs, key=JOB_ORDER):
+        bucket = grouped.get(job.arrival)
+        if bucket is None:
+            grouped[job.arrival] = [job]
+        else:
+            bucket.append(job)
     return grouped
 
 

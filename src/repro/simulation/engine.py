@@ -18,7 +18,7 @@ Record modes (the engine fast path)
 :class:`Trace` the verifier and proof auditors consume.  ``record="costs"``
 skips both — no per-job ``Execution``/event objects, no trace appends —
 and produces only the :class:`CostBreakdown` plus optional metrics.  The
-scheme-visible state (counters, deadlines, eligibility, pending queues,
+scheme-visible state (counters, deadlines, eligibility, pending counts,
 wrapping history) is maintained identically in both modes, so costs agree
 exactly; sweeps, adversary searches, and sensitivity grids that only read
 costs run several times faster in ``"costs"`` mode.
@@ -79,7 +79,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from bisect import insort
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -525,6 +525,11 @@ class BatchedEngine:
             raise ValueError("speed must be 1 (uni) or 2 (double)")
         if record not in ("full", "costs"):
             raise ValueError("record must be 'full' or 'costs'")
+        if record == "full" and instance.sequence.is_count_based:
+            raise ValueError(
+                "record='full' reports job ids, which a count-based "
+                "instance does not carry; use record='costs'"
+            )
         if not 0 <= start_round <= instance.horizon:
             raise ValueError(
                 f"start_round {start_round} outside [0, {instance.horizon}]"
@@ -911,9 +916,9 @@ class BatchedEngine:
             self._drop_one(k, color, states[color], trace)
 
     def _drop_one(self, k: int, color: int, st: ColorState, trace) -> None:
-        dropped = len(st.pending)
+        dropped = st.pending
         if dropped:
-            st.pending.clear()
+            st.pending = 0
             self._total_pending -= dropped
             if trace is not None:
                 trace.append(DropEvent(k, color, dropped, eligible=st.eligible))
@@ -937,9 +942,8 @@ class BatchedEngine:
 
     def _arrival_phase(self, k: int) -> None:
         trace = self.trace
-        arrivals: dict[int, list] = {}
-        for job in self.instance.sequence.arrivals(k):
-            arrivals.setdefault(job.color, []).append(job)
+        counts = self.instance.sequence.arrival_counts(k)
+        jobs = self._job_batches(k)
         touched = False
         for color, st in self.states.items():
             if k % st.delay_bound != 0:
@@ -947,28 +951,42 @@ class BatchedEngine:
             if not touched:
                 touched = True
                 self._touch_orders()
-            self._arrive_one(k, color, st, arrivals.get(color, []), trace)
+            if jobs is not None:
+                st.batch = jobs.get(color, ())
+            self._arrive_one(k, color, st, counts.get(color, 0), trace)
 
     def _arrival_phase_sparse(self, k: int, colors: list[int]) -> None:
         trace = self.trace
-        arrivals: dict[int, list] = {}
-        for job in self.instance.sequence.arrivals(k):
-            arrivals.setdefault(job.color, []).append(job)
+        counts = self.instance.sequence.arrival_counts(k)
+        jobs = self._job_batches(k)
         states = self.states
         for color in colors:
-            self._arrive_one(k, color, states[color], arrivals.get(color, []), trace)
+            st = states[color]
+            if jobs is not None:
+                st.batch = jobs.get(color, ())
+            self._arrive_one(k, color, st, counts.get(color, 0), trace)
+
+    def _job_batches(self, k: int) -> dict[int, list[Job]] | None:
+        """Round ``k``'s jobs by color, for ``record="full"`` runs only:
+        executions report job ids, which costs-mode runs never need."""
+        if self.schedule is None:
+            return None
+        batches: dict[int, list[Job]] = {}
+        for job in self.instance.sequence.arrivals(k):
+            batches.setdefault(job.color, []).append(job)
+        return batches
 
     def _arrive_one(
-        self, k: int, color: int, st: ColorState, batch: list, trace
+        self, k: int, color: int, st: ColorState, count: int, trace
     ) -> None:
         st.dd = k + st.delay_bound
-        st.cnt += len(batch)
+        st.cnt += count
         tracer = self.tracer
-        if batch:
+        if count:
             if trace is not None:
-                trace.append(ArrivalEvent(k, color, len(batch)))
+                trace.append(ArrivalEvent(k, color, count))
             if tracer is not None:
-                tracer.event("arrival", k, color=color, count=len(batch))
+                tracer.event("arrival", k, color=color, count=count)
         if st.cnt >= self.delta:
             # One batch can advance the counter past several multiples
             # of Δ (a rate-limited batch of size D_ℓ ≥ 2Δ already
@@ -988,8 +1006,10 @@ class BatchedEngine:
                     trace.append(EligibleEvent(k, color))
                 if tracer is not None:
                     tracer.event("eligible", k, color=color)
-        st.pending.extend(batch)
-        self._total_pending += len(batch)
+        # The drop phase emptied this color's queue at this boundary
+        # (round 0 starts empty), so the batch is the whole queue.
+        st.pending = st.arrived = count
+        self._total_pending += count
         if trace is not None or tracer is not None:
             # Timestamp updates drive the super-epoch machinery (§3.4);
             # mirror them onto the bus so live monitors can close
@@ -1008,52 +1028,37 @@ class BatchedEngine:
         if schedule is None:
             if self._total_pending == 0:
                 return
-            if tracer is None and obs is None:
-                # Fast path: within a batched color every pending job is
-                # interchangeable for cost purposes, so count executions
-                # in bulk instead of materializing Execution/event
-                # objects.
-                for slot in self.cache.occupied_slots():
-                    st = self.states[slot.occupant]
-                    taken = min(self.copies, len(st.pending))
-                    if taken:
-                        for _ in range(taken):
-                            st.pending.popleft()
-                        self._total_pending -= taken
-                        if not st.pending:
-                            # Idle flips reorder the EDF ranking (idleness
-                            # is its leading sort key); recency is
-                            # unaffected.
-                            self.order_epoch += 1
-                            self._rank_cache = None
-                        self.cost.record_execution(slot.occupant, taken)
-                return
+            # Costs mode: within a batched color every pending job is
+            # interchangeable, so executions are counted in bulk.  All of
+            # them arrived at the color's last boundary dd - D, which
+            # gives the execution age without any per-job record.
+            copies = self.copies
+            states = self.states
             exec_ages = obs._exec_ages if obs is not None else None
             for slot in self.cache.occupied_slots():
-                st = self.states[slot.occupant]
-                taken = min(self.copies, len(st.pending))
-                if taken:
-                    color = slot.occupant
-                    if exec_ages is None:
-                        for _ in range(taken):
-                            st.pending.popleft()
-                    else:
-                        ages = exec_ages.get(color)
-                        if ages is None:
-                            ages = exec_ages[color] = []
-                        age_append = ages.append
-                        for _ in range(taken):
-                            job = st.pending.popleft()
-                            age_append(k - job.arrival)
-                    self._total_pending -= taken
-                    if not st.pending:
-                        self.order_epoch += 1
-                        self._rank_cache = None
-                    self.cost.record_execution(color, taken)
-                    if tracer is not None:
-                        tracer.event(
-                            "execute", k, color=color, count=taken, mini=mini
-                        )
+                color = slot.occupant
+                st = states[color]
+                pending = st.pending
+                if not pending:
+                    continue
+                taken = copies if pending > copies else pending
+                st.pending = pending - taken
+                self._total_pending -= taken
+                if taken == pending:
+                    # Idle flips reorder the EDF ranking (idleness is its
+                    # leading sort key); recency is unaffected.
+                    self.order_epoch += 1
+                    self._rank_cache = None
+                self.cost.record_execution(color, taken)
+                if exec_ages is not None:
+                    ages = exec_ages.get(color)
+                    if ages is None:
+                        ages = exec_ages[color] = []
+                    ages.extend([k - st.dd + st.delay_bound] * taken)
+                if tracer is not None:
+                    tracer.event(
+                        "execute", k, color=color, count=taken, mini=mini
+                    )
             return
         for slot in self.cache.occupied_slots():
             st = self.states[slot.occupant]
@@ -1063,7 +1068,8 @@ class BatchedEngine:
                 if not st.pending:
                     self.order_epoch += 1
                     self._rank_cache = None
-            for resource, job in zip(slot.resources(), taken):
+            for resource, offset in zip(slot.resources(), taken):
+                job = st.batch[offset]
                 schedule.add_execution(
                     Execution(k, mini, resource, job.jid, job.color)
                 )
@@ -1117,7 +1123,7 @@ class BatchedEngine:
         """JSON-ready snapshot of all cost-relevant engine state.
 
         Captures the canonical state only — per-color counters,
-        deadlines, eligibility, wrap history, pending queues, the cache
+        deadlines, eligibility, wrap history, pending counts, the cache
         pool (occupant *and* physical color per slot), and the
         accumulated :class:`CostBreakdown`.  Derived bookkeeping (the
         eligible ordering, order/cache epochs, probe state) is
@@ -1138,9 +1144,9 @@ class BatchedEngine:
                 "last_wrap": st.last_wrap,
                 "prev_wrap": st.prev_wrap,
                 "last_timestamp": st.last_timestamp,
-                # Color and delay bound are implied by the key; pending
-                # jobs serialize as (arrival, jid) pairs.
-                "pending": [[job.arrival, job.jid] for job in st.pending],
+                # Every pending job arrived at dd - D (see state.py), so
+                # the count is the whole queue.
+                "pending": st.pending,
             }
         return {
             "colors": colors,
@@ -1156,7 +1162,9 @@ class BatchedEngine:
         instance's.  After the load, a run over ``[start_round,
         horizon)`` continues the checkpointed run exactly: the restored
         state plus global round indexing make every phase decision
-        identical to the uninterrupted engine's.
+        identical to the uninterrupted engine's.  A ``record="full"``
+        engine reads the pending jobs' ids back from its own instance,
+        which must then hold their arrival round ``dd - D``.
         """
         if self._ran:
             raise RuntimeError("cannot import state into an engine that ran")
@@ -1173,10 +1181,16 @@ class BatchedEngine:
             st.last_wrap = data["last_wrap"]
             st.prev_wrap = data["prev_wrap"]
             st.last_timestamp = data["last_timestamp"]
-            st.pending = deque(
-                Job(arrival, color, st.delay_bound, jid)
-                for arrival, jid in data["pending"]
-            )
+            pending = data["pending"]
+            if type(pending) is not int or pending < 0:
+                raise ValueError(
+                    f"color {color}: pending must be a job count, got "
+                    f"{type(pending).__name__}"
+                )
+            st.pending = st.arrived = pending
+            if self.schedule is not None and pending:
+                st.batch = self._pending_batch(color, st)
+                st.arrived = len(st.batch)
         self.cache.load_state(state["cache"])
         cost = CostBreakdown.from_dict(state["cost"])
         if cost.model != self.instance.cost_model:
@@ -1186,9 +1200,7 @@ class BatchedEngine:
         self.cost = cost
         # Rebuild the derived sparse-core bookkeeping from the canonical
         # state; caches and probe state start cold (cost-neutral).
-        self._total_pending = sum(
-            len(st.pending) for st in self.states.values()
-        )
+        self._total_pending = sum(st.pending for st in self.states.values())
         self._eligible_sorted = sorted(
             c for c, st in self.states.items() if st.eligible
         )
@@ -1200,6 +1212,23 @@ class BatchedEngine:
         self._probe_state = None
         self._scheme_pass_epoch = None
         self._state_imported = True
+
+    def _pending_batch(self, color: int, st: ColorState) -> list[Job]:
+        """The arrival batch a restored color's pending jobs came from."""
+        arrival = st.dd - st.delay_bound
+        sequence = self.instance.sequence
+        batch = (
+            [job for job in sequence.arrivals(arrival) if job.color == color]
+            if 0 <= arrival < sequence.horizon
+            else []
+        )
+        if len(batch) < st.pending:
+            raise ValueError(
+                f"color {color}: {st.pending} pending jobs arrived at round "
+                f"{arrival}, but the instance holds {len(batch)} there; "
+                "record='full' resumes need that round's jobs"
+            )
+        return batch
 
     def _eligible_add(self, color: int) -> None:
         insort(self._eligible_sorted, color)

@@ -520,12 +520,13 @@ class GeneralEngine:
         """Colors with pending jobs, in the consistent (ascending) order."""
         return [c for c in sorted(self.pending) if self.pending[c]]
 
-    # The ColorState-compatible view used by MetricsCollector.
+    # The ColorState-compatible view used by MetricsCollector (pending
+    # work as a count, like ColorState.pending).
     @property
     def states(self):  # pragma: no cover - thin adapter
         class _View:
             def __init__(self, pending: deque[Job]) -> None:
-                self.pending = pending
+                self.pending = len(pending)
 
         return {c: _View(q) for c, q in self.pending.items()}
 

@@ -1,14 +1,21 @@
 """Per-color runtime state for the Section 3.1 protocol.
 
 Each color ℓ carries a counter ``cnt``, a deadline ``dd``, an eligibility
-flag, a pending-job queue, and the history of its counter wrapping events
+flag, a pending-job count, and the history of its counter wrapping events
 (from which the ΔLRU timestamp of Section 3.1.1 is derived on demand).
+
+Pending work is a number, not a queue.  In a batched instance the drop
+phase empties color ℓ's queue at every multiple of ``D_ℓ`` before that
+boundary's batch lands, so every pending job of ℓ arrived at the last
+boundary ``dd - D_ℓ`` and the jobs are interchangeable: FIFO order is the
+order of the last arrival batch, and the next job to run sits at offset
+``arrived - pending`` in it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.job import Job
 from repro.core.rounds import prev_multiple
@@ -31,9 +38,15 @@ class ColorState:
         Eligibility flag; set on a counter wrapping event, cleared in the
         drop phase when the color is eligible but not cached.
     pending:
-        FIFO of pending jobs.  In a batched instance every pending job of
-        a color shares the current deadline, so FIFO order is also EDF
-        order within the color.
+        Number of pending jobs.  In a batched instance they all arrived
+        at the last boundary ``dd - delay_bound`` and share the current
+        deadline (see the module docstring).
+    arrived:
+        Size of the color's last arrival batch; pending jobs are its
+        last ``pending`` entries, in FIFO order.
+    batch:
+        The last arrival batch's :class:`Job` objects, kept only by
+        ``record="full"`` engines (which report job ids); empty otherwise.
     last_wrap / prev_wrap:
         Rounds of the two most recent counter wrapping events (wrapping
         rounds are integral multiples of ``D_ℓ``, so two suffice to answer
@@ -48,7 +61,9 @@ class ColorState:
     cnt: int = 0
     dd: int = 0
     eligible: bool = False
-    pending: deque[Job] = field(default_factory=deque)
+    pending: int = 0
+    arrived: int = 0
+    batch: Sequence[Job] = ()
     last_wrap: int | None = None
     prev_wrap: int | None = None
     last_timestamp: int = 0
@@ -94,15 +109,16 @@ class ColorState:
         first = ((start + d - 1) // d) * d
         return range(first, horizon, d)
 
-    def take_pending(self, count: int) -> list[Job]:
-        """Remove and return up to ``count`` pending jobs (FIFO)."""
-        taken: list[Job] = []
-        while self.pending and len(taken) < count:
-            taken.append(self.pending.popleft())
-        return taken
+    def take_pending(self, count: int) -> range:
+        """Take up to ``count`` pending jobs (FIFO) and return their
+        offsets into the last arrival batch."""
+        taken = min(count, self.pending)
+        first = self.arrived - self.pending
+        self.pending -= taken
+        return range(first, first + taken)
 
-    def clear_pending(self) -> list[Job]:
-        """Remove and return all pending jobs (drop phase)."""
-        dropped = list(self.pending)
-        self.pending.clear()
+    def clear_pending(self) -> range:
+        """Drop every pending job; return their offsets into the batch."""
+        dropped = range(self.arrived - self.pending, self.arrived)
+        self.pending = 0
         return dropped

@@ -5,10 +5,10 @@ materialized :class:`~repro.core.instance.Instance`, which caps run
 length at memory.  This package removes the cap:
 
 * :mod:`~repro.streaming.sources` — the :class:`ArrivalSource` protocol
-  (per-round job batches on demand) with adapters for finite instances
-  and pure-function workload generators.
+  (per-round ``(color, count)`` arrival batches on demand) with adapters
+  for finite instances and pure-function workload generators.
 * :mod:`~repro.streaming.ingest` — bounded admission control in front of
-  the engine: per-color queue caps, tail-drop rejection, and
+  the engine: per-color queue caps (``min(count, cap)``), rejection, and
   rejection-rate / queue-depth metrics through the ``repro.obs``
   registry (and thus the ops service's ``/metrics``).
 * :mod:`~repro.streaming.checkpoint` — durable snapshots of engine +
@@ -16,7 +16,7 @@ length at memory.  This package removes the cap:
   uninterrupted one.
 * :mod:`~repro.streaming.session` — :class:`StreamSession`, the driver:
   it runs any engine backend over the source in segments with
-  O(pending + segment) memory and doubles checkpointing as the
+  O(colors + segment) memory and doubles checkpointing as the
   segmentation mechanism.
 """
 

@@ -2,7 +2,7 @@
 
 A checkpoint is the session's *complete* resume state: the next round to
 simulate, the engine's exported canonical state (per-color protocol
-state, pending queues, cache slots, accumulated costs), the scheme's
+state, pending-job counts, cache slots, accumulated costs), the scheme's
 decision state (RNG streams, mark sets, credit vectors), the ingestion
 counters, and any source state.  A configuration echo (spec digest,
 scheme/engine/resources/speed) guards against resuming into a different
@@ -13,6 +13,13 @@ Restore contract: a session resumed from a checkpoint produces the same
 nearly by construction — the session *always* advances by exporting and
 re-importing this exact state between segments, so the resume path and
 the uninterrupted path are the same code.
+
+File format: canonical JSON (sorted keys, compact separators) of the
+payload, with its SHA-256 ``digest`` spliced in as the first key.  The
+text is built once per save and hashed as built; :meth:`StreamCheckpoint.
+load` re-derives the canonical text of everything but the digest and
+refuses a mismatch.  Schema v2 stores each color's pending work as a
+count (v1 stored ``(arrival, jid)`` pairs); v1 files are refused.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from pathlib import Path
 
 from repro.core.instance import ProblemSpec
 
-CHECKPOINT_SCHEMA = "repro-stream-checkpoint/v1"
+CHECKPOINT_SCHEMA = "repro-stream-checkpoint/v2"
 
 
 def spec_digest(spec: ProblemSpec) -> str:
@@ -41,9 +48,12 @@ def spec_digest(spec: ProblemSpec) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+def _canonical(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _payload_digest(payload: dict) -> str:
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
 class CheckpointError(ValueError):
@@ -68,11 +78,11 @@ class StreamCheckpoint:
     #: (and the series recorded from it) continues instead of resetting.
     checkpoints_written: int = 0
     #: Observability carry-over (series recorder + alert engine state);
-    #: optional so v1 checkpoints written before it existed still load.
+    #: optional so payloads written without it still load.
     obs_state: dict = field(default_factory=dict)
 
-    def to_payload(self) -> dict:
-        body = {
+    def _body(self) -> dict:
+        return {
             "schema": CHECKPOINT_SCHEMA,
             "round": self.round,
             "config": self.config,
@@ -85,17 +95,21 @@ class StreamCheckpoint:
             "checkpoints_written": self.checkpoints_written,
             "obs_state": self.obs_state,
         }
-        body["digest"] = _payload_digest(
-            {k: v for k, v in body.items() if k != "digest"}
-        )
+
+    def to_payload(self) -> dict:
+        body = self._body()
+        body["digest"] = _payload_digest(body)
         return body
 
     @classmethod
     def from_payload(cls, payload: dict) -> "StreamCheckpoint":
-        if payload.get("schema") != CHECKPOINT_SCHEMA:
+        schema = payload.get("schema")
+        if schema != CHECKPOINT_SCHEMA:
             raise CheckpointError(
-                f"unsupported checkpoint schema {payload.get('schema')!r}; "
-                f"expected {CHECKPOINT_SCHEMA}"
+                f"unsupported checkpoint schema {schema!r}; this build "
+                f"reads {CHECKPOINT_SCHEMA} only (pending work is stored "
+                "as per-color counts since v2; resume older runs with the "
+                "build that wrote them)"
             )
         digest = payload.get("digest")
         expected = _payload_digest(
@@ -124,9 +138,15 @@ class StreamCheckpoint:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(
-            json.dumps(self.to_payload(), sort_keys=True), encoding="utf-8"
-        )
+        # Serialize once: hash the canonical bytes and write the digest
+        # as the first key ahead of them instead of re-dumping the whole
+        # payload (the memoryview skips the body's opening brace
+        # without copying it).
+        data = _canonical(self._body()).encode("utf-8")
+        digest = hashlib.sha256(data).hexdigest()
+        with open(tmp, "wb") as handle:
+            handle.write(f'{{"digest":"{digest}",'.encode("ascii"))
+            handle.write(memoryview(data)[1:])
         os.replace(tmp, path)
         return path
 

@@ -4,16 +4,17 @@ Sits between an :class:`~repro.streaming.sources.ArrivalSource` and the
 engine.  In batched mode a color's pending queue empties at every one of
 its boundaries (the drop phase clears it before the batch lands), so a
 per-color cap on the *admitted batch* is exactly a cap on that color's
-pending-queue depth — which is what makes the streaming memory bound
-"O(pending)" a number the operator chooses instead of one the workload
-chooses.
+pending-queue depth — a backlog bound the operator chooses instead of
+one the workload chooses.
 
 Rejected jobs never reach the engine: they are refused at the door and
 counted, not dropped at a deadline — no drop cost is charged, mirroring
 the cache-queue admission experiments (icarus) whose
 ``PERCENTAGE_OF_REJECTION`` / average-queue-size reporting this layer's
-metrics reproduce.  Admission is deterministic (FIFO prefix up to the
-cap), so checkpointed and uninterrupted runs admit identical jobs.
+metrics reproduce.  Batches are per-color counts, so admission is one
+``min(count, cap)`` per color (the jobs of a batch are interchangeable);
+it is deterministic, so checkpointed and uninterrupted runs admit
+identical batches.
 
 Metrics (when a :class:`repro.obs.metrics.MetricsRegistry` is attached):
 
@@ -31,9 +32,9 @@ the session's registry is the one the service serves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from repro.core.job import Job
+from repro.core.instance import ArrivalCounts
 
 
 @dataclass(frozen=True)
@@ -102,45 +103,46 @@ class StreamIngest:
             return 0.0
         return self.rejected / self.offered
 
-    def admit(self, round_index: int, batch: Sequence[Job]) -> list[Job]:
-        """Filter one round's batch through the caps (FIFO tail-drop)."""
-        if not batch:
-            return []
-        per_color: dict[int, int] = {}
-        admitted: list[Job] = []
+    def admit(self, round_index: int, batch: ArrivalCounts) -> ArrivalCounts:
+        """Cap one round's batch: admit ``min(count, cap)`` per color."""
+        offered = len(batch)
+        if not offered:
+            return batch
+        cap_for = self.policy.cap_for
+        registry = self._registry
+        admitted: list[tuple[int, int]] = []
         rejected = 0
-        for job in batch:
-            color = job.color
-            taken = per_color.get(color, 0)
-            cap = self.policy.cap_for(color)
-            if cap is None or taken < cap:
-                per_color[color] = taken + 1
-                admitted.append(job)
-            else:
-                rejected += 1
-                self.rejected_by_color[color] = (
-                    self.rejected_by_color.get(color, 0) + 1
-                )
-                if self._registry is not None:
-                    ctr = self._rejected_color_ctrs.get(color)
-                    if ctr is None:
-                        ctr = self._registry.counter(
-                            f"stream.rejected.color.{color}"
-                        )
-                        self._rejected_color_ctrs[color] = ctr
-                    ctr.inc()
-        self.offered += len(batch)
-        self.admitted += len(admitted)
+        for color, count in batch:
+            cap = cap_for(color)
+            taken = count if cap is None or count <= cap else cap
+            if taken:
+                admitted.append((color, taken))
+            if taken == count:
+                continue
+            refused = count - taken
+            rejected += refused
+            self.rejected_by_color[color] = (
+                self.rejected_by_color.get(color, 0) + refused
+            )
+            if registry is not None:
+                ctr = self._rejected_color_ctrs.get(color)
+                if ctr is None:
+                    ctr = registry.counter(f"stream.rejected.color.{color}")
+                    self._rejected_color_ctrs[color] = ctr
+                ctr.inc(refused)
+        self.offered += offered
+        self.admitted += offered - rejected
         self.rejected += rejected
-        if self._registry is not None:
-            self._offered_ctr.inc(len(batch))
-            self._admitted_ctr.inc(len(admitted))
+        if registry is not None:
+            self._offered_ctr.inc(offered)
+            self._admitted_ctr.inc(offered - rejected)
             if rejected:
                 self._rejected_ctr.inc(rejected)
-            for depth in per_color.values():
-                self._depth_hist.observe(depth)
+            observe = self._depth_hist.observe
+            for _, depth in admitted:
+                observe(depth)
             self._rate_gauge.set(self.rejection_rate)
-        return admitted
+        return ArrivalCounts(admitted) if rejected else batch
 
     # -- checkpoint/restore ------------------------------------------------
 

@@ -16,12 +16,17 @@ checkpoint.  A resumed session starts from the same exported state the
 uninterrupted session would have carried across that round, so the two
 produce bit-identical :class:`~repro.core.cost.CostBreakdown`\\ s.
 
-Memory is O(pending + segment): the engine, its segment instance, and
-the admitted-job window are dropped after every segment; only the
-exported state (pending queues, per-color counters, cache slots, cost
-counters) survives.  ``record`` is fixed to ``"costs"`` — full-record
-streaming would retain O(total jobs) schedule state, defeating the
-point.
+Arrivals travel as counts end to end: the source yields per-round
+``(color, count)`` pairs, admission caps each count, and the segment
+instance is built from the admitted counts (validated once per (round,
+color), never per job).  No :class:`~repro.core.job.Job` exists on this
+path.
+
+Memory is O(colors + segment): the engine, its segment instance, and the admitted
+counts are dropped after every segment; only the exported state (pending
+counts, per-color counters, cache slots, cost counters) survives.
+``record`` is fixed to ``"costs"`` — full-record streaming would retain
+O(total jobs) schedule state, defeating the point.
 """
 
 from __future__ import annotations
@@ -262,12 +267,14 @@ class StreamSession:
     def _run_segment(self, start: int, end: int) -> None:
         if end <= start:
             return
-        jobs = []
+        counts = {}
         for k in self._boundary_rounds(start, end):
             batch = self.source.batch(k)
             if batch:
-                jobs.extend(self.ingest.admit(k, batch))
-        sequence = RequestSequence(jobs, end, open_horizon=True)
+                admitted = self.ingest.admit(k, batch)
+                if admitted:
+                    counts[k] = admitted
+        sequence = RequestSequence(horizon=end, open_horizon=True, counts=counts)
         instance = Instance(
             self.spec, sequence, name=f"{self.name}[{start}:{end}]"
         )

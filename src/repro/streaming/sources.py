@@ -1,9 +1,15 @@
-"""Arrival sources: per-round job batches on demand.
+"""Arrival sources: per-round arrival counts on demand.
 
 An :class:`ArrivalSource` is the streaming replacement for a materialized
 :class:`~repro.core.instance.RequestSequence`: the session pulls round
 ``k``'s batch when (and only when) it is about to simulate round ``k``,
 so memory stays bounded by pending work instead of total work.
+
+A batch is an :class:`~repro.core.instance.ArrivalCounts`: the round's
+``(color, count)`` pairs.  In a batched workload the jobs of one (round,
+color) pair share arrival, deadline and delay bound, so the count is a
+complete description — no :class:`~repro.core.job.Job` is ever minted on
+the streaming path.  ``len()`` of a batch is its number of jobs.
 
 Contract
 --------
@@ -14,12 +20,12 @@ Contract
   after the checkpoint.  Sources that cannot avoid mutable state must
   round-trip it through ``state_dict``/``load_state``.
 * Finite sources raise :class:`IndexError` past their horizon — the same
-  contract as :meth:`RequestSequence.arrivals
-  <repro.core.instance.RequestSequence.arrivals>`, which
+  contract as :meth:`RequestSequence.arrival_counts
+  <repro.core.instance.RequestSequence.arrival_counts>`, which
   :class:`InstanceSource` preserves by delegation.
 * For batched specs the session queries only integral multiples of some
   delay bound (the only rounds a batched workload may populate); sources
-  must return ``()`` for rounds they leave empty, never ``None``.
+  must return an empty batch for rounds they leave empty, never ``None``.
 """
 
 from __future__ import annotations
@@ -27,17 +33,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable, Iterable, Sequence
 
-from repro.core.instance import Instance, ProblemSpec
-from repro.core.job import Job
-
-#: Synthetic job ids are ``round * stride + index-within-round``; a
-#: single round may not admit more jobs than this (far above any real
-#: per-round batch — the rate limit caps batches at ``max D_ℓ``).
-JID_STRIDE = 1_000_000
+from repro.core.instance import ArrivalCounts, Instance, ProblemSpec
 
 
 class ArrivalSource(ABC):
-    """Per-round job batches for one problem spec (see module contract)."""
+    """Per-round arrival counts for one problem spec (see module contract)."""
 
     #: The problem the stream belongs to; engines validate against it.
     spec: ProblemSpec
@@ -47,8 +47,9 @@ class ArrivalSource(ABC):
         """Total rounds available, or ``None`` for an unbounded source."""
 
     @abstractmethod
-    def batch(self, round_index: int) -> Sequence[Job]:
-        """Jobs arriving in ``round_index`` (pure function of the round)."""
+    def batch(self, round_index: int) -> ArrivalCounts:
+        """``(color, count)`` pairs arriving in ``round_index`` (pure
+        function of the round)."""
 
     def state_dict(self) -> dict:
         """Mutable source state for checkpoints (default: none)."""
@@ -90,20 +91,19 @@ class InstanceSource(ArrivalSource):
     def horizon(self) -> int | None:
         return self.instance.horizon
 
-    def batch(self, round_index: int) -> Sequence[Job]:
-        return self.instance.sequence.arrivals(round_index)
+    def batch(self, round_index: int) -> ArrivalCounts:
+        return self.instance.sequence.arrival_counts(round_index)
 
     def describe(self) -> str:
         return f"instance {self.instance.name or 'unnamed'}"
 
 
 class GeneratorSource(ArrivalSource):
-    """Adapt a ``(round) -> [(color, count), ...]`` law to a job stream.
+    """Adapt a ``(round) -> [(color, count), ...]`` law to a source.
 
     ``counts`` must be a pure function of the round (the module
-    contract); job objects are minted on demand with deterministic
-    synthetic ids, so two pulls of the same round are identical and a
-    resumed run mints the very same jobs.
+    contract), so two pulls of the same round are identical and a
+    resumed run sees the very same arrivals.
     """
 
     def __init__(
@@ -126,7 +126,7 @@ class GeneratorSource(ArrivalSource):
     def horizon(self) -> int | None:
         return self._horizon
 
-    def batch(self, round_index: int) -> Sequence[Job]:
+    def batch(self, round_index: int) -> ArrivalCounts:
         if round_index < 0 or (
             self._horizon is not None and round_index >= self._horizon
         ):
@@ -134,19 +134,7 @@ class GeneratorSource(ArrivalSource):
                 f"round {round_index} is outside the source horizon "
                 f"[0, {self._horizon})"
             )
-        jobs: list[Job] = []
-        jid = round_index * JID_STRIDE
-        for color, count in self._counts(round_index):
-            bound = self.spec.delay_bound(color)
-            for _ in range(count):
-                jobs.append(Job(round_index, color, bound, jid))
-                jid += 1
-        if jid - round_index * JID_STRIDE > JID_STRIDE:
-            raise ValueError(
-                f"round {round_index} produced more than {JID_STRIDE} jobs; "
-                "synthetic job ids would collide with the next round's"
-            )
-        return jobs
+        return ArrivalCounts(self._counts(round_index))
 
     def describe(self) -> str:
         label = self.name or "generator"

@@ -129,3 +129,63 @@ class TestInstanceValidation:
     def test_general_mode_allows_any_round(self):
         inst = make_instance([Job(3, 0, 4, 0)], {0: 4}, 2)
         assert inst.spec.batch_mode is BatchMode.GENERAL
+
+
+class TestCountBasedSequence:
+    """Batched workloads as per-(round, color) counts, no Job objects."""
+
+    SPEC = ProblemSpec({0: 4, 1: 8}, CostModel(2), BatchMode.RATE_LIMITED)
+
+    def test_counts_match_the_job_built_sequence(self):
+        factory = JobFactory()
+        jobs = (
+            factory.batch(0, 1, 8, 3)
+            + factory.batch(0, 0, 4, 2)
+            + factory.batch(4, 0, 4, 4)
+        )
+        from_jobs = RequestSequence(jobs, 16)
+        from_counts = RequestSequence(
+            horizon=16, counts={0: [(0, 2), (1, 3)], 4: [(0, 4)], 8: []}
+        )
+        assert from_counts.is_count_based and not from_jobs.is_count_based
+        assert dict(from_counts.counts_by_round()) == dict(
+            from_jobs.counts_by_round()
+        )
+        assert len(from_counts) == len(from_jobs) == 9
+        assert from_counts.arrival_rounds() == from_jobs.arrival_rounds() == (0, 4)
+        assert from_counts.count_by_color() == from_jobs.count_by_color()
+        assert from_counts.arrival_counts(4).get(0, 0) == 4
+        assert len(from_counts.arrival_counts(8)) == 0
+        Instance(self.SPEC, from_counts)
+
+    def test_job_views_refused(self):
+        seq = RequestSequence(horizon=8, counts={0: [(0, 1)]})
+        with pytest.raises(TypeError, match="arrival counts"):
+            seq.jobs
+        with pytest.raises(TypeError, match="arrival counts"):
+            seq.arrivals(0)
+        with pytest.raises(IndexError):
+            seq.arrival_counts(8)
+
+    def test_validated_per_round_and_color(self):
+        def build(counts, horizon=32, open_horizon=False, spec=self.SPEC):
+            seq = RequestSequence(
+                horizon=horizon, open_horizon=open_horizon, counts=counts
+            )
+            return Instance(spec, seq)
+
+        with pytest.raises(ValueError, match="undeclared"):
+            build({0: [(5, 1)]})
+        with pytest.raises(ValueError, match="not a multiple"):
+            build({4: [(1, 1)]})
+        with pytest.raises(ValueError, match="exceeding"):
+            build({0: [(0, 5)]})
+        with pytest.raises(ValueError, match="deadline"):
+            build({24: [(1, 1)]})
+        build({24: [(1, 1)]}, open_horizon=True)  # a streaming window
+        with pytest.raises(ValueError, match="batched"):
+            build({0: [(0, 1)]}, spec=self.SPEC.with_batch_mode(BatchMode.GENERAL))
+        with pytest.raises(ValueError, match="horizon"):
+            RequestSequence(horizon=8, counts={8: [(0, 1)]})
+        with pytest.raises(ValueError, match="negative"):
+            RequestSequence(horizon=8, counts={0: [(0, -1)]})

@@ -11,31 +11,36 @@ def make_state(bound=4):
 
 
 class TestPendingQueue:
+    """Pending work is a count; taken and dropped jobs come back as
+    offsets into the color's last arrival batch, in FIFO order."""
+
     def test_idle_reflects_pending(self):
         st = make_state()
         assert st.idle
-        st.pending.append(Job(0, 0, 4, 0))
+        st.pending = st.arrived = 1
         assert not st.idle
 
     def test_take_pending_fifo(self):
         st = make_state()
-        jobs = [Job(0, 0, 4, i) for i in range(3)]
-        st.pending.extend(jobs)
+        st.batch = [Job(0, 0, 4, i) for i in range(3)]
+        st.pending = st.arrived = 3
         taken = st.take_pending(2)
-        assert [j.jid for j in taken] == [0, 1]
-        assert len(st.pending) == 1
+        assert [st.batch[i].jid for i in taken] == [0, 1]
+        assert st.pending == 1
+        assert [st.batch[i].jid for i in st.take_pending(2)] == [2]
 
     def test_take_more_than_available(self):
         st = make_state()
-        st.pending.append(Job(0, 0, 4, 0))
+        st.pending = st.arrived = 1
         assert len(st.take_pending(5)) == 1
         assert st.idle
 
     def test_clear_pending_returns_all(self):
         st = make_state()
-        st.pending.extend(Job(0, 0, 4, i) for i in range(3))
+        st.pending = st.arrived = 3
+        st.take_pending(1)
         dropped = st.clear_pending()
-        assert len(dropped) == 3
+        assert list(dropped) == [1, 2]
         assert st.idle
 
 

@@ -19,7 +19,14 @@ from repro.algorithms.dlru_edf import DeltaLRUEDF
 from repro.algorithms.randomized import RandomEvict, RandomizedMarking
 from repro.analysis.credits import CreditScheme
 from repro.core.cost import CostBreakdown, CostModel
-from repro.core.instance import Instance, ProblemSpec, RequestSequence
+from repro.core.instance import (
+    ArrivalCounts,
+    BatchMode,
+    Instance,
+    ProblemSpec,
+    RequestSequence,
+    make_instance,
+)
 from repro.core.job import Job
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.registry import RunRecord, RunRegistry
@@ -34,7 +41,7 @@ from repro.streaming import (
     StreamSession,
     rate_limited_source,
 )
-from repro.streaming.checkpoint import CheckpointError
+from repro.streaming.checkpoint import CheckpointError, _payload_digest
 from repro.workloads.random_batched import random_rate_limited
 
 ENGINES = ("sparse", "dense", "vectorized")
@@ -295,10 +302,18 @@ class TestSources:
     def test_generator_source_is_pure_and_deterministic(self):
         source = rate_limited_source(8, 32, seed=13, load=0.5)
         for k in (0, 32, 96):
-            assert list(source.batch(k)) == list(source.batch(k))
-        jids = [job.jid for job in source.batch(64)]
-        assert jids == sorted(jids)
-        assert all(jid // 1_000_000 == 64 for jid in jids)
+            assert source.batch(k) == source.batch(k)
+        # A batch is (color, count) pairs, not jobs; len() counts jobs.
+        batch = source.batch(64)
+        pairs = list(batch)
+        assert pairs and all(count > 0 for _, count in pairs)
+        assert len(batch) == sum(count for _, count in pairs)
+        bounds = source.spec.delay_bounds
+        assert all(
+            64 % bounds[color] == 0 and count <= bounds[color]
+            for color, count in pairs
+        )
+        assert not source.batch(1)  # off every boundary: empty, not None
 
     def test_generator_source_horizon_contract(self):
         source = rate_limited_source(8, 32, seed=13, horizon=128)
@@ -620,3 +635,229 @@ class TestVectorizedColumnarFlag:
             instance, DeltaLRU(), 8, columnar=False
         ).run()
         assert fast.cost == scalar.cost
+
+
+# ------------------------------------------------------- count-based path
+
+
+def _interleaved_instance():
+    """Rounds whose jobs interleave colors by job id (c3, c2, c1, c0,
+    c3, ...), so a per-job admission walk would alternate colors."""
+    bounds = {0: 4, 1: 4, 2: 8, 3: 8}
+    jobs = []
+    jid = 0
+    for k in range(0, 64, 4):
+        sizes = {c: (k // 4 + 2 * c) % 7 for c in bounds if k % bounds[c] == 0}
+        while any(sizes.values()):
+            for color in sorted(sizes, reverse=True):
+                if sizes[color]:
+                    jobs.append(Job(k, color, bounds[color], jid))
+                    jid += 1
+                    sizes[color] -= 1
+    return make_instance(
+        jobs, bounds, 3, batch_mode=BatchMode.BATCHED, horizon=72
+    )
+
+
+#: Instruments local to one segment engine: ordering caches, fixed-point
+#: skips and reconfiguration inter-arrival restart at every segment.
+SEGMENT_LOCAL = {
+    "engine.order_cache_hits",
+    "engine.order_cache_misses",
+    "engine.fixed_point_skips",
+    "engine.reconfig_interarrival",
+}
+
+
+def _without(snapshot, names):
+    return {
+        kind: {k: v for k, v in values.items() if k not in names}
+        for kind, values in snapshot.items()
+    }
+
+
+class TestCountPath:
+    def test_admission_by_counts_reproduces_pinned_values(self):
+        registry = MetricsRegistry()
+        session = StreamSession(
+            InstanceSource(_interleaved_instance()),
+            DeltaLRUEDF(),
+            4,
+            policy=AdmissionPolicy(queue_cap=3, caps={1: 0, 2: 5}),
+            registry=registry,
+            segment_rounds=20,
+        )
+        result = session.run()
+        # Pinned from the per-job admission walk this path replaced.
+        assert (result.offered, result.admitted, result.rejected) == (142, 73, 69)
+        assert session.ingest.rejected_by_color == {0: 12, 1: 47, 2: 1, 3: 9}
+        snapshot = registry.snapshot(prefix="stream.")
+        assert snapshot["counters"] == {
+            "stream.admitted": 73,
+            "stream.checkpoints": 0,
+            "stream.offered": 142,
+            "stream.rejected": 69,
+            "stream.rejected.color.0": 12,
+            "stream.rejected.color.1": 47,
+            "stream.rejected.color.2": 1,
+            "stream.rejected.color.3": 9,
+        }
+        depth = snapshot["histograms"]["stream.queue_depth"]
+        assert depth["counts"][:5] == [5, 4, 16, 2, 0]
+        assert (depth["count"], depth["sum"]) == (27, 73.0)
+        assert result.cost.total == 64
+
+    def test_admit_caps_each_color_count(self):
+        from repro.streaming.ingest import StreamIngest
+
+        ingest = StreamIngest(AdmissionPolicy(queue_cap=2, caps={1: 0}))
+        batch = ArrivalCounts([(0, 5), (1, 3), (2, 1)])
+        assert len(batch) == 9
+        admitted = ingest.admit(8, batch)
+        assert sorted(admitted) == [(0, 2), (2, 1)]
+        assert len(admitted) == 3
+        assert ingest.rejected_by_color == {0: 3, 1: 3}
+        # Nothing over its cap: the batch passes through as it is.
+        small = ArrivalCounts([(0, 1), (2, 2)])
+        assert ingest.admit(16, small) is small
+        assert (ingest.offered, ingest.admitted, ingest.rejected) == (12, 6, 6)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("speed", (1, 2))
+    def test_engine_registry_matches_one_shot_simulate(self, engine, speed):
+        # Execution ages on the count path are k - (dd - D); the one-shot
+        # run reads them off each Job's arrival.  The histograms agree.
+        instance = _instance(horizon=900)
+        base = MetricsRegistry()
+        simulate(
+            instance, DeltaLRUEDF(), 8, speed=speed, engine=engine,
+            record="costs", registry=base,
+        )
+        expected = base.snapshot(prefix="engine.")
+        assert expected["histograms"]["engine.backlog_age"]["count"] > 0
+        for segment_rounds, ignored in ((4096, set()), (211, SEGMENT_LOCAL)):
+            registry = MetricsRegistry()
+            StreamSession(
+                InstanceSource(instance), DeltaLRUEDF(), 8, engine=engine,
+                speed=speed, registry=registry, segment_rounds=segment_rounds,
+            ).run()
+            got = registry.snapshot(prefix="engine.")
+            assert _without(got, ignored) == _without(expected, ignored)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("speed", (1, 2))
+    def test_kill_resume_carries_pending_counts(self, tmp_path, engine, speed):
+        instance = _instance(seed=5, horizon=900, load=0.9)
+        base = MetricsRegistry()
+        full = StreamSession(
+            InstanceSource(instance), DeltaLRU(), 8, engine=engine,
+            speed=speed, registry=base, segment_rounds=150,
+        )
+        full.run(checkpoint_every=450)
+        path = tmp_path / "ckpt.json"
+        first = StreamSession(
+            InstanceSource(instance), DeltaLRU(), 8, engine=engine,
+            speed=speed, registry=MetricsRegistry(), segment_rounds=150,
+        )
+        first.run(450, checkpoint_every=450, checkpoint_path=path)
+        colors = json.loads(path.read_text())["engine_state"]["colors"]
+        pending = [state["pending"] for state in colors.values()]
+        assert all(type(count) is int for count in pending)
+        assert sum(pending) > 0  # mid-epoch: work is in flight
+        registry = MetricsRegistry()
+        resumed = StreamSession.resume(
+            InstanceSource(instance), DeltaLRU(), path, registry=registry,
+            segment_rounds=150,
+        )
+        assert resumed.run(checkpoint_every=450).cost == full.result().cost
+        assert registry.snapshot() == base.snapshot()
+
+    def test_count_instance_runs_on_every_backend(self):
+        instance = _instance(horizon=600)
+        counted = Instance(
+            instance.spec,
+            RequestSequence(
+                horizon=instance.horizon,
+                counts=instance.sequence.counts_by_round(),
+            ),
+        )
+        for engine in ENGINES:
+            for speed in (1, 2):
+                expected = simulate(
+                    instance, DeltaLRUEDF(), 8, engine=engine, speed=speed,
+                    record="costs",
+                )
+                got = simulate(
+                    counted, DeltaLRUEDF(), 8, engine=engine, speed=speed,
+                    record="costs",
+                )
+                assert got.cost == expected.cost
+        with pytest.raises(ValueError, match="record='full'"):
+            simulate(counted, DeltaLRUEDF(), 8)
+
+    @pytest.mark.parametrize("sparse", (True, False))
+    def test_full_record_resume_reads_job_ids_by_offset(self, sparse):
+        instance = _instance(seed=3, horizon=600, load=0.9)
+        base = BatchedEngine(instance, DeltaLRU(), 8, sparse=sparse).run()
+        cut = 300  # mid-epoch: some colors have executed part of a batch
+        head = Instance(
+            instance.spec,
+            RequestSequence(
+                [job for job in instance.sequence if job.arrival < cut],
+                cut,
+                open_horizon=True,
+            ),
+        )
+        first = BatchedEngine(head, DeltaLRU(), 8, sparse=sparse)
+        head_run = first.run()
+        state = first.export_state()
+        assert sum(c["pending"] for c in state["colors"].values()) > 0
+        second = BatchedEngine(
+            instance, DeltaLRU(), 8, sparse=sparse, start_round=cut
+        )
+        second.import_state(state)
+        tail_run = second.run()
+        executions = head_run.schedule.executions + tail_run.schedule.executions
+        assert executions == base.schedule.executions
+        assert tail_run.cost == base.cost
+
+    def test_v1_checkpoint_refused(self, tmp_path):
+        session = StreamSession(
+            rate_limited_source(8, 32, seed=2), DeltaLRU(), 6
+        )
+        session.run(320)
+        payload = session.checkpoint().to_payload()
+        payload["schema"] = "repro-stream-checkpoint/v1"
+        for state in payload["engine_state"]["colors"].values():
+            state["pending"] = [[288, 288_000_000 + i] for i in range(state["pending"])]
+        del payload["digest"]
+        payload["digest"] = _payload_digest(payload)
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError) as excinfo:
+            StreamCheckpoint.load(path)
+        message = str(excinfo.value)
+        assert "repro-stream-checkpoint/v1" in message
+        assert "repro-stream-checkpoint/v2" in message
+
+    def test_saved_file_is_one_canonical_serialization(self, tmp_path):
+        session = StreamSession(
+            rate_limited_source(8, 32, seed=2), DeltaLRU(), 6
+        )
+        session.run(320)
+        checkpoint = session.checkpoint()
+        path = tmp_path / "ckpt.json"
+        checkpoint.save(path)
+        text = path.read_text()
+        payload = json.loads(text)
+        assert payload == checkpoint.to_payload()
+        assert text.startswith('{"digest":')
+        assert StreamCheckpoint.load(path) == checkpoint
+        # A torn write (truncated tail) and an edit that keeps the JSON
+        # valid are both refused.
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(CheckpointError):
+            StreamCheckpoint.load(path)
+        path.write_text(text.replace('"round":320', '"round":321'))
+        with pytest.raises(CheckpointError, match="digest"):
+            StreamCheckpoint.load(path)
